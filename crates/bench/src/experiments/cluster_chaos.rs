@@ -59,6 +59,7 @@
 use crate::experiments::results_json::{save_results_json, JsonRow};
 use crate::RunCtx;
 use pp_core::prelude::*;
+use pp_net::fivetuple::fnv1a;
 use pp_sim::cluster::{Cluster, MachineId, TelemetryChannel};
 use pp_sim::config::MachineConfig;
 use pp_sim::engine::{CoreTask, Engine};
@@ -267,18 +268,6 @@ fn park_tenant(t: &mut TenantRt, cluster: &mut Cluster) {
 /// First free placement core on machine `m`.
 fn free_slot(cluster: &Cluster, m: MachineId) -> Option<CoreId> {
     (0..SLOTS as u16).map(CoreId).find(|&c| !cluster.engine(m).has_task(c))
-}
-
-/// FNV-1a over a stream of words — the cross-run identity digest.
-fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Shared planning state (profiled once, used by every scenario).
@@ -571,13 +560,18 @@ fn run_cluster_scenario(
     for t in tenants.iter_mut() {
         flush_processed(t, &cluster);
     }
-    let digest = fnv1a64((0..MACHINES).flat_map(|m| {
-        let eng = cluster.engine(MachineId(m));
-        (0..SLOTS as u16).flat_map(move |c| {
-            let core = eng.machine.core(CoreId(c));
-            [m as u64, c as u64, core.clock, core.counters.total().packets]
+    // The cross-run identity digest: FNV-1a over the words' bytes.
+    let words: Vec<u8> = (0..MACHINES)
+        .flat_map(|m| {
+            let eng = cluster.engine(MachineId(m));
+            (0..SLOTS as u16).flat_map(move |c| {
+                let core = eng.machine.core(CoreId(c));
+                [m as u64, c as u64, core.clock, core.counters.total().packets]
+            })
         })
-    }));
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let digest = fnv1a(&words);
 
     let (decisions, replacements) = match &ctrl {
         Some(c) => (c.decisions(), c.replacements_used()),

@@ -7,7 +7,7 @@
 
 use pp_click::elements::lpm::{Dir248Scratch, Dir248Table};
 use pp_click::elements::radix::{
-    BinaryRadixTrie, LookupScratch, MultibitScratch, MultibitTrie,
+    routing_table, BinaryRadixTrie, LookupScratch, MultibitScratch, MultibitTrie,
 };
 use pp_net::gen::prefixes::{linear_lpm, PrefixEntry};
 use pp_net::prelude::{FlowKey, FlowTable, Probe, Touch};
@@ -54,11 +54,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// DIR-24-8 and both tries route every probe exactly like the linear
-    /// LPM oracle on random tables.
+    /// LPM oracle on random tables — and so do two replicas of the radix
+    /// trie over a generated table through the shared-host build (the
+    /// second one reuses the first one's host arrays).
     #[test]
     fn structures_agree_with_linear_lpm_oracle(
         table in table_strategy(),
         raw in proptest::collection::vec(any::<u32>(), 1..32),
+        generated_n in 256usize..512,
+        structure_seed in any::<u64>(),
     ) {
         let mut m = Machine::new(MachineConfig::westmere());
         let alloc = m.allocator(MemDomain(0));
@@ -70,6 +74,18 @@ proptest! {
             prop_assert_eq!(dir.lookup_host(dst), want, "dir-24-8 at {:#x}", dst);
             prop_assert_eq!(radix.lookup_host(dst), want, "radix at {:#x}", dst);
             prop_assert_eq!(multibit.lookup_host(dst), want, "multibit at {:#x}", dst);
+        }
+
+        let generated = routing_table(generated_n, structure_seed);
+        let shared = [
+            BinaryRadixTrie::generated(alloc, generated_n, structure_seed),
+            BinaryRadixTrie::generated(alloc, generated_n, structure_seed),
+        ];
+        for dst in probes_for(&generated, &raw) {
+            let want = linear_lpm(&generated, dst).map(|e| e.next_hop);
+            for (i, trie) in shared.iter().enumerate() {
+                prop_assert_eq!(trie.lookup_host(dst), want, "shared radix {} at {:#x}", i, dst);
+            }
         }
     }
 

@@ -25,12 +25,11 @@ use crate::elements::control::{Control, ControlHandle};
 use crate::elements::firewall::Firewall;
 use crate::elements::lpm::Dir248IpLookup;
 use crate::elements::netflow::NetFlow;
-use crate::elements::radix::{MultibitIpLookup, RadixIpLookup};
+use crate::elements::radix::{routing_table, MultibitIpLookup, RadixIpLookup};
 use crate::elements::re::{ReConfig, RedundancyElim};
 use crate::elements::synthetic::{SynParams, Synthetic};
 use crate::elements::vpn::VpnEncrypt;
 use crate::graph::ElementGraph;
-use pp_net::gen::prefixes::generate_bgp_table;
 use pp_net::gen::rules::{generate_classifier_rules, generate_unmatchable_rules};
 use pp_sim::machine::Machine;
 use pp_sim::nic::NicQueue;
@@ -448,12 +447,14 @@ fn construct(
                     message: format!("PREFIXES must be positive, got {n}"),
                 });
             }
-            let prefixes = generate_bgp_table(n as usize, seed ^ 0x1111);
+            let n = n as usize;
             let alloc = ctx.machine.allocator(ctx.domain);
             match decl.class.as_str() {
-                "RadixIPLookup" => Box::new(RadixIpLookup::new(alloc, &prefixes, cost)),
-                "MultibitIPLookup" => Box::new(MultibitIpLookup::new(alloc, &prefixes, cost)),
-                _ => Box::new(Dir248IpLookup::new(alloc, &prefixes, cost)),
+                "RadixIPLookup" => Box::new(RadixIpLookup::generated(alloc, n, seed, cost)),
+                "MultibitIPLookup" => {
+                    Box::new(MultibitIpLookup::new(alloc, &routing_table(n, seed), cost))
+                }
+                _ => Box::new(Dir248IpLookup::new(alloc, &routing_table(n, seed), cost)),
             }
         }
         "NetFlow" => {

@@ -20,11 +20,14 @@
 
 use crate::cost::CostModel;
 use crate::element::{Action, Element, BATCH_MLP};
-use pp_net::gen::prefixes::PrefixEntry;
+use pp_net::gen::prefixes::{generate_bgp_table, PrefixEntry};
 use pp_net::packet::Packet;
-use pp_sim::arena::{DomainAllocator, SimVec};
+use pp_sim::arena::{DomainAllocator, SharedSimVec, SimVec};
 use pp_sim::ctx::ExecCtx;
 use pp_sim::types::CACHE_LINE;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::{Rc, Weak};
 
 /// Append every cache line covering `[addr, addr + len)` to `out` — the
 /// batched walks must charge exactly the lines the scalar
@@ -331,59 +334,113 @@ pub struct MultibitScratch {
     addrs: Vec<u64>,
 }
 
+/// The routing table a flow with `structure_seed` forwards over:
+/// `n_prefixes` BGP-shaped prefixes. Every generated-table lookup element
+/// (`RadixIPLookup`, `MultibitIPLookup`, `Dir248IPLookup`) routes over it.
+pub fn routing_table(n_prefixes: usize, structure_seed: u64) -> Vec<PrefixEntry> {
+    generate_bgp_table(n_prefixes, structure_seed ^ 0x1111)
+}
+
+/// Binary-trie node: `[left, right, best, pad...]`.
+type TrieNode = [u32; 6];
+/// Route entry: `[next_hop, iface, mtu, flags]`.
+type Route = [u32; 4];
+/// A generated trie's host arrays, as the intern table refers to them.
+type WeakHostTrie = (Weak<Vec<TrieNode>>, Weak<Vec<Route>>);
+
+thread_local! {
+    /// Host arrays of the generated tries alive on this thread, keyed by
+    /// `(n_prefixes, structure_seed)`. Only `Weak` references: the table
+    /// never keeps a trie alive. Thread-local because scenarios are
+    /// single-threaded, and a global lock would serialise `run_many`
+    /// workers.
+    static GENERATED: RefCell<HashMap<(usize, u64), WeakHostTrie>> =
+        RefCell::new(HashMap::new());
+}
+
 /// A binary (bit-at-a-time) radix trie with best-match tracking — the
 /// shape of Click's `RadixTrie`. See the module docs.
 pub struct BinaryRadixTrie {
-    /// Nodes as `[left, right, best, pad...]`; `u32::MAX` = no child,
-    /// `best` 0 = no prefix ends at this node (otherwise a packed leaf
-    /// whose low bits index `routes`). 24 bytes per node, matching the
-    /// footprint of Click's pointer-based C++ trie nodes (two child
-    /// pointers plus prefix/route metadata).
-    nodes: SimVec<[u32; 6]>,
-    /// One route entry per prefix: `[next_hop, iface, mtu, flags]`. The
-    /// lookup's final dependent read, as in Click where the matched trie
-    /// leaf points at a route structure.
-    routes: SimVec<[u32; 4]>,
-    n_prefixes: usize,
+    /// `u32::MAX` = no child, `best` 0 = no prefix ends at this node
+    /// (otherwise a packed leaf whose low bits index `routes`). 24 bytes
+    /// per node, matching the footprint of Click's pointer-based C++ trie
+    /// nodes (two child pointers plus prefix/route metadata).
+    nodes: SharedSimVec<TrieNode>,
+    /// One route entry per prefix. The lookup's final dependent read, as
+    /// in Click where the matched trie leaf points at a route structure.
+    routes: SharedSimVec<Route>,
 }
 
 const NO_CHILD: u32 = u32::MAX;
 
 #[inline]
-fn new_node() -> [u32; 6] {
+fn new_node() -> TrieNode {
     [NO_CHILD, NO_CHILD, 0, 0, 0, 0]
+}
+
+/// Build the trie's host arrays from a prefix table.
+fn host_trie(prefixes: &[PrefixEntry]) -> (Vec<TrieNode>, Vec<Route>) {
+    let mut nodes: Vec<TrieNode> = vec![new_node()];
+    let mut routes: Vec<Route> = Vec::with_capacity(prefixes.len());
+    for (pi, p) in prefixes.iter().enumerate() {
+        assert!(p.len <= 32);
+        routes.push([p.next_hop, pi as u32 & 0xF, 1500, 1]);
+        let mut cur = 0usize;
+        for i in 0..p.len {
+            let bit = ((p.addr >> (31 - i)) & 1) as usize;
+            let child = nodes[cur][bit];
+            cur = if child == NO_CHILD {
+                nodes.push(new_node());
+                let idx = (nodes.len() - 1) as u32;
+                nodes[cur][bit] = idx;
+                idx as usize
+            } else {
+                child as usize
+            };
+        }
+        let existing = nodes[cur][2];
+        if existing == 0 || leaf_len(existing) <= p.len {
+            nodes[cur][2] = leaf(p.len, pi as u32);
+        }
+    }
+    (nodes, routes)
 }
 
 impl BinaryRadixTrie {
     /// Build from a prefix table in `alloc`'s domain.
     pub fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
-        let mut nodes: Vec<[u32; 6]> = vec![new_node()];
-        let mut routes: Vec<[u32; 4]> = Vec::with_capacity(prefixes.len());
-        for (pi, p) in prefixes.iter().enumerate() {
-            assert!(p.len <= 32);
-            routes.push([p.next_hop, pi as u32 & 0xF, 1500, 1]);
-            let mut cur = 0usize;
-            for i in 0..p.len {
-                let bit = ((p.addr >> (31 - i)) & 1) as usize;
-                let child = nodes[cur][bit];
-                cur = if child == NO_CHILD {
-                    nodes.push(new_node());
-                    let idx = (nodes.len() - 1) as u32;
-                    nodes[cur][bit] = idx;
-                    idx as usize
-                } else {
-                    child as usize
-                };
+        let (nodes, routes) = host_trie(prefixes);
+        Self::place(alloc, Rc::new(nodes), Rc::new(routes))
+    }
+
+    /// The trie over [`routing_table`]`(n_prefixes, structure_seed)` in
+    /// `alloc`'s domain. Replicas alive on this thread share one host copy
+    /// of the arrays (generated and built once); each replica still gets
+    /// its own simulated nodes and routes, allocated exactly as
+    /// [`build`](Self::build) allocates them.
+    pub fn generated(alloc: &mut DomainAllocator, n_prefixes: usize, structure_seed: u64) -> Self {
+        let (nodes, routes) = GENERATED.with(|table| {
+            let mut table = table.borrow_mut();
+            table.retain(|_, (nodes, _)| nodes.strong_count() > 0);
+            let key = (n_prefixes, structure_seed);
+            if let Some((nodes, routes)) = table.get(&key) {
+                if let (Some(nodes), Some(routes)) = (nodes.upgrade(), routes.upgrade()) {
+                    return (nodes, routes);
+                }
             }
-            let existing = nodes[cur][2];
-            if existing == 0 || leaf_len(existing) <= p.len {
-                nodes[cur][2] = leaf(p.len, pi as u32);
-            }
-        }
+            let (nodes, routes) = host_trie(&routing_table(n_prefixes, structure_seed));
+            let (nodes, routes) = (Rc::new(nodes), Rc::new(routes));
+            table.insert(key, (Rc::downgrade(&nodes), Rc::downgrade(&routes)));
+            (nodes, routes)
+        });
+        Self::place(alloc, nodes, routes)
+    }
+
+    /// Allocate the simulated nodes, then routes, over host arrays.
+    fn place(alloc: &mut DomainAllocator, nodes: Rc<Vec<TrieNode>>, routes: Rc<Vec<Route>>) -> Self {
         BinaryRadixTrie {
-            nodes: SimVec::from_vec(alloc, nodes),
-            routes: SimVec::from_vec(alloc, routes),
-            n_prefixes: prefixes.len(),
+            nodes: SharedSimVec::from_shared(alloc, nodes),
+            routes: SharedSimVec::from_shared(alloc, routes),
         }
     }
 
@@ -392,9 +449,9 @@ impl BinaryRadixTrie {
         self.nodes.len()
     }
 
-    /// Number of prefixes inserted.
+    /// Number of prefixes inserted (one route entry each).
     pub fn prefix_count(&self) -> usize {
-        self.n_prefixes
+        self.routes.len()
     }
 
     /// Total simulated footprint in bytes (nodes + route entries).
@@ -603,8 +660,23 @@ pub struct RadixIpLookup {
 impl RadixIpLookup {
     /// Build the element (and its trie) in `alloc`'s domain.
     pub fn new(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry], cost: CostModel) -> Self {
+        Self::with_trie(BinaryRadixTrie::build(alloc, prefixes), cost)
+    }
+
+    /// The element over the generated [`routing_table`], its trie built by
+    /// [`BinaryRadixTrie::generated`] (host arrays shared among replicas).
+    pub fn generated(
+        alloc: &mut DomainAllocator,
+        n_prefixes: usize,
+        structure_seed: u64,
+        cost: CostModel,
+    ) -> Self {
+        Self::with_trie(BinaryRadixTrie::generated(alloc, n_prefixes, structure_seed), cost)
+    }
+
+    fn with_trie(trie: BinaryRadixTrie, cost: CostModel) -> Self {
         RadixIpLookup {
-            trie: BinaryRadixTrie::build(alloc, prefixes),
+            trie,
             cost,
             scratch: LookupScratch::default(),
             hdrs: Vec::new(),
@@ -1101,6 +1173,41 @@ mod tests {
             mb.core(CoreId(0)).clock,
             ms.core(CoreId(0)).clock
         );
+    }
+
+    #[test]
+    fn generated_replicas_share_host_arrays_but_not_simulated_memory() {
+        // A key no other test on this thread uses.
+        let (n, seed) = (700, 0x5EED_0001);
+        let mut m = machine();
+        let alloc = m.allocator(MemDomain(0));
+        let a = BinaryRadixTrie::generated(alloc, n, seed);
+        let b = BinaryRadixTrie::generated(alloc, n, seed);
+        assert!(std::ptr::eq(a.nodes.peek(0), b.nodes.peek(0)), "nodes not shared");
+        assert!(std::ptr::eq(a.routes.peek(0), b.routes.peek(0)), "routes not shared");
+        // Simulated layout as two private builds: nodes then routes per
+        // replica, disjoint and of equal footprint.
+        assert_eq!(a.footprint(), b.footprint());
+        assert_eq!(a.footprint(), BinaryRadixTrie::build(alloc, &routing_table(n, seed)).footprint());
+        assert!(a.routes.base() >= a.nodes.base() + a.nodes.footprint());
+        assert!(b.nodes.base() >= a.routes.base() + a.routes.footprint());
+        assert!(b.routes.base() >= b.nodes.base() + b.nodes.footprint());
+        let mut ctx = m.ctx(CoreId(0));
+        let mut rng = SmallRng::seed_from_u64(12);
+        for _ in 0..300 {
+            let ip: u32 = rng.random();
+            assert_eq!(a.lookup(&mut ctx, ip), b.lookup(&mut ctx, ip), "ip {ip:#x}");
+        }
+
+        let interned = || GENERATED.with(|t| t.borrow().get(&(n, seed)).cloned());
+        let (old_nodes, _) = interned().expect("interned while alive");
+        drop((a, b));
+        assert_eq!(old_nodes.strong_count(), 0, "the intern table keeps tries alive");
+        let _c = BinaryRadixTrie::generated(m.allocator(MemDomain(0)), n, seed);
+        let (new_nodes, _) = interned().expect("re-interned");
+        // `old_nodes` pins the old allocation, so a rebuilt array cannot
+        // reuse its address: a different pointer means it was regenerated.
+        assert!(!old_nodes.ptr_eq(&new_nodes), "a dead table must be regenerated");
     }
 
     #[test]

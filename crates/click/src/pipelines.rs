@@ -30,7 +30,6 @@ use crate::elements::synthetic::{SynParams, Synthetic};
 use crate::elements::vpn::VpnEncrypt;
 use crate::flow::{FlowTask, FrameworkChurn, SinkStage, SourceStage};
 use crate::graph::ElementGraph;
-use pp_net::gen::prefixes::generate_bgp_table;
 use pp_net::gen::rules::{generate_classifier_rules, generate_unmatchable_rules};
 use pp_net::gen::signatures::generate_signatures;
 use pp_net::gen::traffic::{TrafficGen, TrafficSpec};
@@ -109,7 +108,10 @@ pub struct FlowSpec {
     /// Seed for the flow's *data structures* (routing table, rules, keys).
     /// Instances of the same type share this, so replicas are identical —
     /// as the paper's per-client replicas of one table are — while their
-    /// traffic differs per `seed`.
+    /// traffic differs per `seed`. Each replica is private in simulated
+    /// memory (its own addresses, so it contends like a separate copy);
+    /// the host copy of a read-only generated table is shared among the
+    /// replicas alive on a thread (see [`RadixIpLookup::generated`]).
     pub structure_seed: u64,
     /// Compute-cost model.
     pub cost: CostModel,
@@ -251,10 +253,14 @@ fn build_graph(
         }
         kind => {
             ids.push(g.add(Box::new(CheckIpHeader::new(cost))));
-            let prefixes = generate_bgp_table(spec.n_prefixes, spec.structure_seed ^ 0x1111);
             {
                 let alloc = machine.allocator(domain);
-                ids.push(g.add(Box::new(RadixIpLookup::new(alloc, &prefixes, cost))));
+                ids.push(g.add(Box::new(RadixIpLookup::generated(
+                    alloc,
+                    spec.n_prefixes,
+                    spec.structure_seed,
+                    cost,
+                ))));
             }
             if !matches!(kind, ChainKind::Ip) {
                 let alloc = machine.allocator(domain);

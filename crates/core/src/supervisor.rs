@@ -56,6 +56,7 @@ use crate::guard::{
     DegradeLevel, GuardConfig, GuardEnvelope, RuntimeGuard, WindowObservation,
 };
 use crate::workload::FlowType;
+use pp_sim::types::splitmix64;
 
 /// Identifies one tenant within a [`Supervisor`] (dense index, assigned
 /// at admission in call order).
@@ -195,14 +196,6 @@ struct Tenant {
     /// Next retry delay, in windows (doubles per failed probe, capped).
     backoff: u32,
     stats: TenantStats,
-}
-
-/// SplitMix64 (the workspace's standard seed mixer) for retry jitter.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The machine-level control plane: one guard per tenant plus the

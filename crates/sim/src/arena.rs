@@ -7,12 +7,23 @@
 //! the two in lockstep: element code can only reach the host data through
 //! methods that charge the corresponding simulated access.
 //!
+//! Every replica of a structure owns a *private* simulated range — that is
+//! what the paper's per-flow replicas contend with. The host world need not
+//! be private: a [`SharedSimVec`] holds read-only host data behind an `Rc`,
+//! so replicas built from identical contents (the routing tables of flows of
+//! one type) share one host copy while each charges its own simulated
+//! addresses. The type has no mutating methods, which is what makes the
+//! sharing sound: no replica can change what another one reads.
+//!
 //! Allocation is a simple per-domain bump allocator — the workloads allocate
 //! at startup and never free, exactly like the paper's applications, which
 //! pre-allocate their tables and buffer pools.
 
 use crate::ctx::ExecCtx;
 use crate::types::{Addr, MemDomain, CACHE_LINE};
+use std::borrow::Borrow;
+use std::marker::PhantomData;
+use std::rc::Rc;
 
 /// Bump allocator for one NUMA domain's simulated address range.
 #[derive(Debug, Clone)]
@@ -53,46 +64,53 @@ impl DomainAllocator {
     }
 }
 
-/// A typed array that exists in both worlds: a host `Vec<T>` plus a range of
-/// simulated addresses. Reading or writing an element charges the simulated
-/// memory accesses for every cache line the element covers.
+/// A typed array that exists in both worlds: host storage `S` (a `Vec<T>`
+/// by default) plus a range of simulated addresses. Reading or writing an
+/// element charges the simulated memory accesses for every cache line the
+/// element covers. Mutation is offered only over owned `Vec` storage; see
+/// [`SharedSimVec`] for the read-only, shared-host form.
 #[derive(Debug, Clone)]
-pub struct SimVec<T> {
-    data: Vec<T>,
+pub struct SimVec<T, S = Vec<T>> {
+    data: S,
     base: Addr,
     stride: u64,
+    elem: PhantomData<T>,
 }
 
-impl<T: Copy> SimVec<T> {
-    /// Materialize a host vector in simulated memory. Elements are laid out
-    /// contiguously at their natural size (so several small elements share a
-    /// cache line, as a real array would).
-    pub fn from_vec(alloc: &mut DomainAllocator, data: Vec<T>) -> Self {
+/// A read-only [`SimVec`] whose host data is shared (`Rc<Vec<T>>`) among
+/// replicas, while each replica's simulated range stays its own: two
+/// `SharedSimVec`s over one `Rc` read identical values at disjoint simulated
+/// addresses, so each replica contends in the cache model exactly as a
+/// privately built copy would. The `Rc` holds a `Vec` rather than a `[T]`
+/// so sharing a freshly built array copies nothing, and a `Weak` outliving
+/// the array pins only the `Vec` header, not its buffer.
+pub type SharedSimVec<T> = SimVec<T, Rc<Vec<T>>>;
+
+impl<T: Copy, S: Borrow<Vec<T>>> SimVec<T, S> {
+    /// Place host data in simulated memory. Elements are laid out
+    /// contiguously at their natural size (so several small elements share
+    /// a cache line, as a real array would).
+    fn place(alloc: &mut DomainAllocator, data: S) -> Self {
         let stride = std::mem::size_of::<T>().max(1) as u64;
         let align = (std::mem::align_of::<T>() as u64).max(1);
-        let base = alloc.alloc(stride * data.len().max(1) as u64, align);
-        SimVec { data, base, stride }
-    }
-
-    /// An array of `len` copies of `init`.
-    pub fn new(alloc: &mut DomainAllocator, len: usize, init: T) -> Self {
-        Self::from_vec(alloc, vec![init; len])
+        let base = alloc.alloc(stride * data.borrow().len().max(1) as u64, align);
+        SimVec { data, base, stride, elem: PhantomData }
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.borrow().len()
     }
 
     /// Whether the array is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.borrow().is_empty()
     }
 
     /// Simulated address of element `i`.
     #[inline]
     pub fn addr_of(&self, i: usize) -> Addr {
-        debug_assert!(i < self.data.len());
+        debug_assert!(i < self.len());
         self.base + i as u64 * self.stride
     }
 
@@ -109,14 +127,32 @@ impl<T: Copy> SimVec<T> {
 
     /// Total simulated footprint in bytes.
     pub fn footprint(&self) -> u64 {
-        self.stride * self.data.len() as u64
+        self.stride * self.len() as u64
     }
 
     /// Read element `i`, charging a dependent load for each line covered.
     #[inline]
     pub fn read(&self, ctx: &mut ExecCtx<'_>, i: usize) -> T {
         ctx.read_struct(self.addr_of(i), self.stride);
-        self.data[i]
+        self.data.borrow()[i]
+    }
+
+    /// Host-side view without simulated cost. For construction, assertions,
+    /// and tests only — element fast paths must use [`read`](Self::read).
+    pub fn peek(&self, i: usize) -> &T {
+        &self.data.borrow()[i]
+    }
+}
+
+impl<T: Copy> SimVec<T> {
+    /// Materialize a host vector in simulated memory.
+    pub fn from_vec(alloc: &mut DomainAllocator, data: Vec<T>) -> Self {
+        Self::place(alloc, data)
+    }
+
+    /// An array of `len` copies of `init`.
+    pub fn new(alloc: &mut DomainAllocator, len: usize, init: T) -> Self {
+        Self::from_vec(alloc, vec![init; len])
     }
 
     /// Overwrite element `i`, charging stores for each line covered.
@@ -136,15 +172,18 @@ impl<T: Copy> SimVec<T> {
         f(&mut self.data[i])
     }
 
-    /// Host-side view without simulated cost. For construction, assertions,
-    /// and tests only — element fast paths must use [`read`](Self::read).
-    pub fn peek(&self, i: usize) -> &T {
-        &self.data[i]
-    }
-
     /// Host-side mutable view without simulated cost (setup code only).
     pub fn peek_mut(&mut self, i: usize) -> &mut T {
         &mut self.data[i]
+    }
+}
+
+impl<T: Copy> SharedSimVec<T> {
+    /// Give shared host data a simulated range of its own in `alloc`'s
+    /// domain — the same size and alignment [`SimVec::from_vec`] would
+    /// allocate for the same elements.
+    pub fn from_shared(alloc: &mut DomainAllocator, data: Rc<Vec<T>>) -> Self {
+        Self::place(alloc, data)
     }
 }
 

@@ -34,6 +34,7 @@
 //! schedule and mechanism separate is what lets an empty plan prove
 //! bit-for-bit equivalence: no mechanism is ever invoked.
 
+use crate::types::splitmix64;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -388,15 +389,6 @@ pub struct FaultTransition {
     pub target: Option<u8>,
     /// `true` = the fault begins at this window, `false` = it ends.
     pub begin: bool,
-}
-
-/// SplitMix64 — the one-liner PRNG the workspace uses for seed
-/// derivation (same constants as `pp-core`'s `flow_seed`).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Executes a [`FaultPlan`]: resolves seeded jitter once at construction,

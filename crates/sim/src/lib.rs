@@ -100,7 +100,7 @@ pub mod types;
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
-    pub use crate::arena::{DomainAllocator, SimRing, SimVec};
+    pub use crate::arena::{DomainAllocator, SharedSimVec, SimRing, SimVec};
     pub use crate::cache::{Cache, CacheStats, LookupResult};
     pub use crate::cluster::{Cluster, MachineId, TelemetryChannel};
     pub use crate::config::{CacheGeom, MachineConfig};

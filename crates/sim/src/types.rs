@@ -121,6 +121,15 @@ pub fn lines_covered(addr: Addr, len: u64) -> u64 {
     last - first + 1
 }
 
+/// SplitMix64 — the one-step mixer the workspace derives seeds and jitter
+/// from (fault-plan jitter, supervisor retry jitter).
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Whether a memory access is a load or a store. Stores are issued through a
 /// store buffer and do not stall the core for the full memory latency.
 ///
