@@ -161,7 +161,7 @@ proptest! {
     ) {
         // 16 buckets × 8 slots: small enough that random workloads hit
         // collision, overflow, and eviction paths.
-        let mut tab: FlowTable<FlowKey, u64> = FlowTable::new(4);
+        let mut tab: FlowTable<FlowKey, u64> = FlowTable::new(4, 8);
         let mut oracle: HashMap<FlowKey, u64> = HashMap::new();
         let mut touched: Vec<Touch> = Vec::new();
 

@@ -222,7 +222,10 @@ impl Nat {
     /// same `2^log2_bindings` slot capacity arranged as 8-slot tag-byte
     /// buckets ([`pp_net::flowtab`]).
     pub fn new_bucketed(alloc: &mut DomainAllocator, cfg: NatConfig, cost: CostModel) -> Self {
-        let tab: FlowTable<NatKey, Binding> = FlowTable::new(cfg.log2_bindings.saturating_sub(3));
+        let tab: FlowTable<NatKey, Binding> = FlowTable::new(
+            cfg.log2_bindings.saturating_sub(3),
+            std::mem::size_of::<Binding>() as u64,
+        );
         let base = alloc.alloc_lines(tab.footprint());
         Self::with_bindings(alloc, cfg, BindStore::Bucketed { tab, base }, cost)
     }

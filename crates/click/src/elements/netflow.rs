@@ -3,8 +3,10 @@
 //! timestamp — "a representative form of memory-intensive packet processing
 //! that benefits significantly from the L3 cache".
 //!
-//! The table is sized 2^17 entries × 32 B = 4 MB for the paper's population
-//! of 100 000 concurrent flows (load factor ≈ 0.76, short linear probes).
+//! At paper scale ([`FlowSpec::new`](crate::pipelines::FlowSpec::new)) the
+//! table is 2^18 slots × 64 B = 16 MB for the paper's population of
+//! 100 000 concurrent flows: a load factor of 0.38 per direction (0.76 with
+//! both directions accounted, the default), short linear probes.
 //!
 //! ## Storage layouts (PR 10)
 //!
@@ -30,8 +32,14 @@ use pp_sim::arena::{DomainAllocator, SimVec};
 use pp_sim::ctx::ExecCtx;
 use pp_sim::types::Addr;
 
-/// One flow record, exactly 64 bytes (one cache line), like a NetFlow v5
-/// record with its full set of counters and timestamps.
+/// Simulated size of a flow record: 64 bytes (one cache line), like a
+/// NetFlow v5 record with its full set of counters, timestamps, TCP flags,
+/// TOS, interfaces, AS numbers and masks. The model's claim; the host
+/// `FlowRecord` keeps only the 40 bytes the element reads or writes.
+pub const FLOW_RECORD_BYTES: u64 = 64;
+
+/// One flow record as the host keeps it: the key and the fields the
+/// element updates. Occupies [`FLOW_RECORD_BYTES`] in simulated memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(C)]
 struct FlowRecord {
@@ -45,12 +53,6 @@ struct FlowRecord {
     bytes: u32,
     last_seen: u64,
     first_seen: u64,
-    /// Accumulated TCP flags (v5 semantics).
-    tcp_flags: u32,
-    /// TOS byte + input/output interface ids, packed.
-    tos_ifaces: u32,
-    /// Reserved (AS numbers, masks in v5).
-    _reserved: [u64; 2],
 }
 
 const OCCUPIED: u32 = 1 << 31;
@@ -133,7 +135,7 @@ impl NetFlow {
     pub fn new(alloc: &mut DomainAllocator, log2_capacity: u32, cost: CostModel) -> Self {
         let cap = 1usize << log2_capacity;
         let storage = Storage::Flat {
-            table: SimVec::new(alloc, cap, FlowRecord::default()),
+            table: SimVec::from_vec_strided(alloc, vec![FlowRecord::default(); cap], FLOW_RECORD_BYTES),
             mask: cap - 1,
         };
         Self::with_storage(storage, cost)
@@ -143,7 +145,7 @@ impl NetFlow {
     /// (8 slots each) in `alloc`'s domain. `log2_buckets` 17–19 gives the
     /// PR 10 Internet-scale sizing of 1M–4M entries.
     pub fn new_bucketed(alloc: &mut DomainAllocator, log2_buckets: u32, cost: CostModel) -> Self {
-        let tab = FlowTable::new(log2_buckets);
+        let tab = FlowTable::new(log2_buckets, FLOW_RECORD_BYTES);
         let base = alloc.alloc_lines(tab.footprint());
         Self::with_storage(Storage::Bucketed { tab, base }, cost)
     }
@@ -537,6 +539,10 @@ mod tests {
     fn footprint_matches_paper_scale() {
         let (_m, nf) = netflow(17);
         assert_eq!(nf.footprint(), (1 << 17) * 64);
+        // A 40-byte host record, laid out and charged as a 64-byte line.
+        assert_eq!(std::mem::size_of::<FlowRecord>(), 40);
+        let Storage::Flat { table, .. } = &nf.storage else { unreachable!() };
+        assert_eq!(table.stride(), FLOW_RECORD_BYTES);
     }
 
     fn netflow_bucketed(log2_buckets: u32) -> (pp_sim::machine::Machine, NetFlow) {

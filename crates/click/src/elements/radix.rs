@@ -341,10 +341,20 @@ pub fn routing_table(n_prefixes: usize, structure_seed: u64) -> Vec<PrefixEntry>
     generate_bgp_table(n_prefixes, structure_seed ^ 0x1111)
 }
 
-/// Binary-trie node: `[left, right, best, pad...]`.
-type TrieNode = [u32; 6];
-/// Route entry: `[next_hop, iface, mtu, flags]`.
-type Route = [u32; 4];
+/// Binary-trie node as the host keeps it: `[left, right, best]`, the
+/// three words a lookup reads.
+type TrieNode = [u32; 3];
+/// Simulated size of a trie node: 24 bytes, the footprint of Click's
+/// pointer-based C++ node (two child pointers plus prefix/route metadata).
+/// The model's claim; the host copy leaves out the unread metadata.
+pub const TRIE_NODE_BYTES: u64 = 24;
+/// Route entry as the host keeps it: the next hop, the only word a lookup
+/// reads.
+type Route = u32;
+/// Simulated size of a route entry: 16 bytes (next hop, interface, MTU,
+/// flags), the route structure a matched Click trie leaf points at. The
+/// model's claim; the host copy keeps only the next hop.
+pub const ROUTE_BYTES: u64 = 16;
 /// A generated trie's host arrays, as the intern table refers to them.
 type WeakHostTrie = (Weak<Vec<TrieNode>>, Weak<Vec<Route>>);
 
@@ -362,12 +372,12 @@ thread_local! {
 /// shape of Click's `RadixTrie`. See the module docs.
 pub struct BinaryRadixTrie {
     /// `u32::MAX` = no child, `best` 0 = no prefix ends at this node
-    /// (otherwise a packed leaf whose low bits index `routes`). 24 bytes
-    /// per node, matching the footprint of Click's pointer-based C++ trie
-    /// nodes (two child pointers plus prefix/route metadata).
+    /// (otherwise a packed leaf whose low bits index `routes`).
+    /// [`TRIE_NODE_BYTES`] per node in simulated memory.
     nodes: SharedSimVec<TrieNode>,
-    /// One route entry per prefix. The lookup's final dependent read, as
-    /// in Click where the matched trie leaf points at a route structure.
+    /// One route entry per prefix ([`ROUTE_BYTES`] each in simulated
+    /// memory). The lookup's final dependent read, as in Click where the
+    /// matched trie leaf points at a route structure.
     routes: SharedSimVec<Route>,
 }
 
@@ -375,18 +385,32 @@ const NO_CHILD: u32 = u32::MAX;
 
 #[inline]
 fn new_node() -> TrieNode {
-    [NO_CHILD, NO_CHILD, 0, 0, 0, 0]
+    [NO_CHILD, NO_CHILD, 0]
 }
+
+/// Depth of `host_trie`'s ancestor index. Its 2^12 entries (16 KB) live
+/// on the stack: a heap-allocated index, even one never read, left the
+/// `predict` benchmark's peak RSS 5–8% higher.
+const INDEX_DEPTH: u8 = 12;
 
 /// Build the trie's host arrays from a prefix table.
 fn host_trie(prefixes: &[PrefixEntry]) -> (Vec<TrieNode>, Vec<Route>) {
     let mut nodes: Vec<TrieNode> = vec![new_node()];
     let mut routes: Vec<Route> = Vec::with_capacity(prefixes.len());
+    // The depth-`INDEX_DEPTH` node on each path, once one exists: a prefix
+    // at least that long starts its walk there. The skipped levels exist
+    // already, so the walk creates the same nodes in the same order.
+    let mut index = [NO_CHILD; 1 << INDEX_DEPTH];
     for (pi, p) in prefixes.iter().enumerate() {
         assert!(p.len <= 32);
-        routes.push([p.next_hop, pi as u32 & 0xF, 1500, 1]);
-        let mut cur = 0usize;
-        for i in 0..p.len {
+        routes.push(p.next_hop);
+        let top = (p.addr >> (32 - INDEX_DEPTH)) as usize;
+        let (mut cur, from) = if p.len >= INDEX_DEPTH && index[top] != NO_CHILD {
+            (index[top] as usize, INDEX_DEPTH)
+        } else {
+            (0, 0)
+        };
+        for i in from..p.len {
             let bit = ((p.addr >> (31 - i)) & 1) as usize;
             let child = nodes[cur][bit];
             cur = if child == NO_CHILD {
@@ -397,6 +421,9 @@ fn host_trie(prefixes: &[PrefixEntry]) -> (Vec<TrieNode>, Vec<Route>) {
             } else {
                 child as usize
             };
+            if i + 1 == INDEX_DEPTH {
+                index[top] = cur as u32;
+            }
         }
         let existing = nodes[cur][2];
         if existing == 0 || leaf_len(existing) <= p.len {
@@ -439,12 +466,12 @@ impl BinaryRadixTrie {
     /// Allocate the simulated nodes, then routes, over host arrays.
     fn place(alloc: &mut DomainAllocator, nodes: Rc<Vec<TrieNode>>, routes: Rc<Vec<Route>>) -> Self {
         BinaryRadixTrie {
-            nodes: SharedSimVec::from_shared(alloc, nodes),
-            routes: SharedSimVec::from_shared(alloc, routes),
+            nodes: SharedSimVec::from_shared(alloc, nodes, TRIE_NODE_BYTES),
+            routes: SharedSimVec::from_shared(alloc, routes, ROUTE_BYTES),
         }
     }
 
-    /// Number of trie nodes (footprint = nodes × 24 B).
+    /// Number of trie nodes (footprint = nodes × [`TRIE_NODE_BYTES`]).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -555,8 +582,7 @@ impl BinaryRadixTrie {
         out.clear();
         out.extend((0..n).map(|l| {
             if best[l] != 0 {
-                let route = self.routes.peek(leaf_hop(best[l]) as usize);
-                (Some(route[0]), levels[l] + 1)
+                (Some(*self.routes.peek(leaf_hop(best[l]) as usize)), levels[l] + 1)
             } else {
                 (None, levels[l])
             }
@@ -587,8 +613,7 @@ impl BinaryRadixTrie {
         }
         if best != 0 {
             // Final dependent read: the matched route entry.
-            let route = self.routes.read(ctx, leaf_hop(best) as usize);
-            (Some(route[0]), levels + 1)
+            (Some(self.routes.read(ctx, leaf_hop(best) as usize)), levels + 1)
         } else {
             (None, levels)
         }
@@ -613,7 +638,7 @@ impl BinaryRadixTrie {
             cur = node[bit] as usize;
         }
         if best != 0 {
-            Some(self.routes.peek(leaf_hop(best) as usize)[0])
+            Some(*self.routes.peek(leaf_hop(best) as usize))
         } else {
             None
         }
@@ -1063,6 +1088,10 @@ mod tests {
         use pp_net::gen::prefixes::generate_bgp_table;
         let prefixes = generate_bgp_table(128_000, 42);
         let (_m, trie) = build_binary(&prefixes);
+        // Packed host elements, laid out and charged at Click's sizes.
+        assert_eq!((trie.nodes.stride(), trie.routes.stride()), (24, 16));
+        assert_eq!(trie.footprint(), trie.node_count() as u64 * 24 + trie.prefix_count() as u64 * 16);
+        assert!(std::mem::size_of::<TrieNode>() < 24 && std::mem::size_of::<Route>() < 16);
         let mb = trie.footprint() as f64 / (1024.0 * 1024.0);
         assert!(
             mb > 8.0 && mb < 24.0,
@@ -1208,6 +1237,34 @@ mod tests {
         // `old_nodes` pins the old allocation, so a rebuilt array cannot
         // reuse its address: a different pointer means it was regenerated.
         assert!(!old_nodes.ptr_eq(&new_nodes), "a dead table must be regenerated");
+    }
+
+    fn le_bytes<'a>(words: impl IntoIterator<Item = &'a u32>) -> Vec<u8> {
+        words.into_iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn routing_table_and_host_arrays_are_pinned() {
+        // FNV-1a digests of the generated table and of the words a lookup
+        // reads from each node and route; the values predate the packed
+        // host layout, the multiplicative `seen` hasher and the depth-12
+        // ancestor index, none of which may move them.
+        let pins = [
+            (3000, 23_343, 0x4c7a_a05e_4886_9c1c_u64, 0x2d9e_9d37_5524_0407_u64, 0xb389_5b1c_43ff_2e28_u64),
+            (32_000, 207_503, 0x6536_997d_f33a_71b7, 0xdb43_9981_13e2_42eb, 0xac97_7d74_c742_1e19),
+        ];
+        for (n, node_count, table_pin, nodes_pin, routes_pin) in pins {
+            let table = routing_table(n, 1);
+            let table_bytes: Vec<u8> = table
+                .iter()
+                .flat_map(|e| e.addr.to_le_bytes().into_iter().chain([e.len]).chain(e.next_hop.to_le_bytes()))
+                .collect();
+            assert_eq!(pp_net::fivetuple::fnv1a(&table_bytes), table_pin, "table, n = {n}");
+            let (nodes, routes) = host_trie(&table);
+            assert_eq!(nodes.len(), node_count, "node count, n = {n}");
+            assert_eq!(pp_net::fivetuple::fnv1a(&le_bytes(nodes.iter().flatten())), nodes_pin, "nodes, n = {n}");
+            assert_eq!(pp_net::fivetuple::fnv1a(&le_bytes(&routes)), routes_pin, "routes, n = {n}");
+        }
     }
 
     #[test]

@@ -119,7 +119,9 @@ pub struct FlowSpec {
     pub n_prefixes: usize,
     /// Concurrent-flow population for the traffic (paper: 100 000).
     pub flow_population: u32,
-    /// log2 of NetFlow table slots (paper population at ~0.76 load).
+    /// log2 of NetFlow table slots. Paper scale: 2^18 slots × 64 B = 16 MB,
+    /// which the 100 000-flow population fills to 0.38 per direction (0.76
+    /// with both directions accounted, NetFlow's default).
     pub netflow_log2: u32,
     /// Firewall rule count (paper: 1000).
     pub n_rules: usize,

@@ -25,9 +25,13 @@
 //!
 //! ```text
 //! +0    header line: 8 tag bytes (0 = empty slot), 56 B padding/metadata
-//! +64   slot 0: V  (size_of::<V>() bytes)
-//! +64+s*size_of::<V>()  slot s
+//! +64   slot 0: one record (record_bytes)
+//! +64+s*record_bytes  slot s
 //! ```
+//!
+//! `record_bytes` is the *simulated* record size, set by the caller: a
+//! record whose host type leaves out fields the model never reads still
+//! occupies its full simulated size here.
 //!
 //! Probing visits up to [`PROBE_BUCKETS`] consecutive buckets (wrapping).
 //! Insertion takes the first empty slot in that window; a probe stops early
@@ -128,7 +132,8 @@ pub struct FlowTable<K, V> {
     /// costs no extra simulated traffic.
     overflowed: Vec<bool>,
     mask: usize,
-    vsize: u64,
+    /// Simulated bytes per record.
+    record_bytes: u64,
     occupied: usize,
     _marker: PhantomData<(K, V)>,
 }
@@ -144,17 +149,18 @@ fn tag_of(hash: u64) -> u8 {
 }
 
 impl<K: TabKey, V: Copy> FlowTable<K, V> {
-    /// A table with `2^log2_buckets` buckets (8 slots each).
-    pub fn new(log2_buckets: u32) -> Self {
+    /// A table with `2^log2_buckets` buckets (8 slots each) of
+    /// `record_bytes`-byte simulated records (at least `size_of::<V>()`).
+    pub fn new(log2_buckets: u32, record_bytes: u64) -> Self {
         let buckets = 1usize << log2_buckets;
-        let vsize = std::mem::size_of::<V>() as u64;
-        assert!(vsize > 0 && vsize.is_multiple_of(8), "record size must be a positive multiple of 8");
+        assert!(record_bytes > 0 && record_bytes.is_multiple_of(8), "record size must be a positive multiple of 8");
+        assert!(record_bytes >= std::mem::size_of::<V>() as u64, "record size must cover the host record");
         FlowTable {
             slots: vec![[None; BUCKET_SLOTS]; buckets],
             tags: vec![[0u8; BUCKET_SLOTS]; buckets],
             overflowed: vec![false; buckets],
             mask: buckets - 1,
-            vsize,
+            record_bytes,
             occupied: 0,
             _marker: PhantomData,
         }
@@ -177,7 +183,7 @@ impl<K: TabKey, V: Copy> FlowTable<K, V> {
 
     /// Bytes per bucket (header line + 8 records).
     pub fn bucket_bytes(&self) -> u64 {
-        HEADER_BYTES + BUCKET_SLOTS as u64 * self.vsize
+        HEADER_BYTES + BUCKET_SLOTS as u64 * self.record_bytes
     }
 
     /// Total table bytes (what a simulated region must reserve).
@@ -197,7 +203,7 @@ impl<K: TabKey, V: Copy> FlowTable<K, V> {
 
     /// Byte span of slot `s` in bucket `b`.
     pub fn slot_span(&self, bucket: usize, slot: usize) -> (u64, u64) {
-        (bucket as u64 * self.bucket_bytes() + HEADER_BYTES + slot as u64 * self.vsize, self.vsize)
+        (bucket as u64 * self.bucket_bytes() + HEADER_BYTES + slot as u64 * self.record_bytes, self.record_bytes)
     }
 
     /// Find `key`: header-line reads plus one record read per tag match,
@@ -359,7 +365,7 @@ mod tests {
 
     #[test]
     fn matches_hashmap_oracle_under_mixed_workload() {
-        let mut tab: Tab = FlowTable::new(6); // 64 buckets, 512 slots
+        let mut tab: Tab = FlowTable::new(6, 32); // 64 buckets, 512 slots
         let mut oracle: HashMap<TKey, [u64; 4]> = HashMap::new();
         let mut rng = 0x1234u64;
         let mut touched = Vec::new();
@@ -405,7 +411,7 @@ mod tests {
 
     #[test]
     fn hit_touches_one_header_and_one_slot() {
-        let mut tab: Tab = FlowTable::new(4);
+        let mut tab: Tab = FlowTable::new(4, 32);
         let key = TKey { id: 1, h: 0x0123_4567_89AB_CDEF };
         let mut touched = Vec::new();
         insert(&mut tab, key, [9; 4], &mut touched);
@@ -424,7 +430,7 @@ mod tests {
 
     #[test]
     fn miss_in_bucket_with_space_reads_header_only() {
-        let mut tab: Tab = FlowTable::new(4);
+        let mut tab: Tab = FlowTable::new(4, 32);
         let present = TKey { id: 1, h: 0x42 };
         let mut touched = Vec::new();
         insert(&mut tab, present, [1; 4], &mut touched);
@@ -439,7 +445,7 @@ mod tests {
 
     #[test]
     fn tag_collision_costs_one_extra_slot_read_but_stays_correct() {
-        let mut tab: Tab = FlowTable::new(4);
+        let mut tab: Tab = FlowTable::new(4, 32);
         // Two distinct keys, same bucket, same tag byte.
         let a = TKey { id: 1, h: 0x0055_0000_0000_0003 };
         let b = TKey { id: 2, h: 0x0055_0000_0000_0003 };
@@ -457,7 +463,7 @@ mod tests {
 
     #[test]
     fn bucket_overflow_spills_to_next_bucket() {
-        let mut tab: Tab = FlowTable::new(4);
+        let mut tab: Tab = FlowTable::new(4, 32);
         let mut touched = Vec::new();
         // 9 keys in the same home bucket: 8 fill it, the 9th spills.
         for i in 0..9u64 {
@@ -477,7 +483,7 @@ mod tests {
 
     #[test]
     fn full_window_reports_victim_in_home_bucket() {
-        let mut tab: Tab = FlowTable::new(2); // 4 buckets = the whole probe window
+        let mut tab: Tab = FlowTable::new(2, 32); // 4 buckets = the whole probe window
         let mut touched = Vec::new();
         // Fill all 32 slots via same-home keys (spilling covers all buckets).
         for i in 0..32u64 {
@@ -497,7 +503,7 @@ mod tests {
 
     #[test]
     fn spans_are_line_aligned_and_inside_footprint() {
-        let tab: Tab = FlowTable::new(5);
+        let tab: Tab = FlowTable::new(5, 32);
         assert_eq!(tab.bucket_bytes() % 64, 0, "bucket must be a line multiple");
         assert_eq!(tab.footprint(), 32 * (64 + 8 * 32));
         for b in 0..tab.buckets() {

@@ -4,6 +4,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One routing-table entry: `addr/len -> next_hop`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +77,36 @@ pub fn linear_lpm(table: &[PrefixEntry], ip: u32) -> Option<PrefixEntry> {
         .copied()
 }
 
+/// A multiplicative hasher for one `u64` key. SipHash's flood resistance
+/// buys nothing for generated keys, and only membership is ever asked of
+/// the set, so iteration order cannot leak into the table.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half into the low bits the table indexes by.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The prefixes a generated table already holds, keyed `addr << 8 | len`.
+type PrefixSet = HashSet<u64, BuildHasherDefault<MulHasher>>;
+
+fn prefix_key(addr: u32, len: u8) -> u64 {
+    u64::from(addr) << 8 | u64::from(len)
+}
+
 /// Generate a *BGP-shaped* table of roughly `n` prefixes: hierarchical
 /// layers (/8 covering the space, then /12, /16, /20, /24 allocations, each
 /// layer drawn as children of the previous one), like a real default-free
@@ -89,7 +120,7 @@ pub fn linear_lpm(table: &[PrefixEntry], ip: u32) -> Option<PrefixEntry> {
 /// the measured behaviour of forwarding under a real table.
 pub fn generate_bgp_table(n: usize, seed: u64) -> Vec<PrefixEntry> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut seen: HashSet<(u32, u8)> = HashSet::new();
+    let mut seen = PrefixSet::default();
     let mut out: Vec<PrefixEntry> = Vec::with_capacity(n + 256);
     let hop = |rng: &mut SmallRng| rng.random_range(0..64u32);
 
@@ -99,7 +130,7 @@ pub fn generate_bgp_table(n: usize, seed: u64) -> Vec<PrefixEntry> {
         let addr = first << 24;
         let h = hop(&mut rng);
         out.push(PrefixEntry { addr, len: 8, next_hop: h });
-        seen.insert((addr, 8));
+        seen.insert(prefix_key(addr, 8));
         eights.push(addr);
     }
 
@@ -115,7 +146,7 @@ pub fn generate_bgp_table(n: usize, seed: u64) -> Vec<PrefixEntry> {
     let n24_scatter = budget - n12 - n16 - n20 - n24_nested;
 
     let extend = |rng: &mut SmallRng,
-                      seen: &mut HashSet<(u32, u8)>,
+                      seen: &mut PrefixSet,
                       out: &mut Vec<PrefixEntry>,
                       parents: &Vec<u32>,
                       parent_len: u8,
@@ -132,7 +163,7 @@ pub fn generate_bgp_table(n: usize, seed: u64) -> Vec<PrefixEntry> {
             let parent = parents[rng.random_range(0..parents.len())];
             let ext: u32 = rng.random_range(0..(1u32 << ext_bits));
             let addr = parent | (ext << (32 - len as u32));
-            if seen.insert((addr, len)) {
+            if seen.insert(prefix_key(addr, len)) {
                 let h = hop(rng);
                 out.push(PrefixEntry { addr, len, next_hop: h });
                 layer.push(addr);

@@ -15,6 +15,14 @@
 //! addresses. The type has no mutating methods, which is what makes the
 //! sharing sound: no replica can change what another one reads.
 //!
+//! Nor need the host element be as wide as the simulated one. A structure
+//! whose simulated element carries padding or fields the model never reads
+//! (a 24-byte trie node of which the lookup reads 12) keeps only the read
+//! fields on the host and states its simulated size as the *stride*
+//! ([`SimVec::from_vec_strided`], [`SharedSimVec::from_shared`]).
+//! Addresses and charges follow the stride alone, so a packed host element
+//! costs exactly what the padded one did.
+//!
 //! Allocation is a simple per-domain bump allocator — the workloads allocate
 //! at startup and never free, exactly like the paper's applications, which
 //! pre-allocate their tables and buffer pools.
@@ -86,13 +94,24 @@ pub struct SimVec<T, S = Vec<T>> {
 /// the array pins only the `Vec` header, not its buffer.
 pub type SharedSimVec<T> = SimVec<T, Rc<Vec<T>>>;
 
+/// The simulated size of a `T` laid out at its natural size.
+fn natural_stride<T>() -> u64 {
+    std::mem::size_of::<T>().max(1) as u64
+}
+
 impl<T: Copy, S: Borrow<Vec<T>>> SimVec<T, S> {
-    /// Place host data in simulated memory. Elements are laid out
-    /// contiguously at their natural size (so several small elements share
-    /// a cache line, as a real array would).
-    fn place(alloc: &mut DomainAllocator, data: S) -> Self {
-        let stride = std::mem::size_of::<T>().max(1) as u64;
+    /// Place host data in simulated memory, `stride` bytes per element at
+    /// `T`'s alignment. Elements are contiguous (so several small elements
+    /// share a cache line, as a real array would). A stride wider than `T`
+    /// is the simulated size of an element whose unread fields the host
+    /// copy leaves out.
+    fn place(alloc: &mut DomainAllocator, data: S, stride: u64) -> Self {
         let align = (std::mem::align_of::<T>() as u64).max(1);
+        assert!(
+            stride >= natural_stride::<T>() && stride.is_multiple_of(align),
+            "stride {stride} must cover the {}-byte element and keep its {align}-byte alignment",
+            std::mem::size_of::<T>()
+        );
         let base = alloc.alloc(stride * data.borrow().len().max(1) as u64, align);
         SimVec { data, base, stride, elem: PhantomData }
     }
@@ -114,7 +133,8 @@ impl<T: Copy, S: Borrow<Vec<T>>> SimVec<T, S> {
         self.base + i as u64 * self.stride
     }
 
-    /// Bytes per element (the span a [`read`](Self::read) charges).
+    /// Simulated bytes per element (the span a [`read`](Self::read)
+    /// charges); at least the host element's size.
     #[inline]
     pub fn stride(&self) -> u64 {
         self.stride
@@ -147,7 +167,15 @@ impl<T: Copy, S: Borrow<Vec<T>>> SimVec<T, S> {
 impl<T: Copy> SimVec<T> {
     /// Materialize a host vector in simulated memory.
     pub fn from_vec(alloc: &mut DomainAllocator, data: Vec<T>) -> Self {
-        Self::place(alloc, data)
+        Self::place(alloc, data, natural_stride::<T>())
+    }
+
+    /// [`from_vec`](Self::from_vec) with a simulated element size of
+    /// `stride` bytes (at least `size_of::<T>()`, a multiple of `T`'s
+    /// alignment): the array is laid out and charged as if each element
+    /// were `stride` bytes wide.
+    pub fn from_vec_strided(alloc: &mut DomainAllocator, data: Vec<T>, stride: u64) -> Self {
+        Self::place(alloc, data, stride)
     }
 
     /// An array of `len` copies of `init`.
@@ -180,10 +208,10 @@ impl<T: Copy> SimVec<T> {
 
 impl<T: Copy> SharedSimVec<T> {
     /// Give shared host data a simulated range of its own in `alloc`'s
-    /// domain — the same size and alignment [`SimVec::from_vec`] would
-    /// allocate for the same elements.
-    pub fn from_shared(alloc: &mut DomainAllocator, data: Rc<Vec<T>>) -> Self {
-        Self::place(alloc, data)
+    /// domain, `stride` bytes per element — the same size and alignment
+    /// [`SimVec::from_vec_strided`] would allocate for the same elements.
+    pub fn from_shared(alloc: &mut DomainAllocator, data: Rc<Vec<T>>, stride: u64) -> Self {
+        Self::place(alloc, data, stride)
     }
 }
 
@@ -317,6 +345,52 @@ mod tests {
         assert_eq!(*v.peek(2), 6);
         let c = m.core(CoreId(0)).counters.total();
         assert!(c.l1_refs >= 2, "update must charge a load and a store");
+    }
+
+    #[test]
+    fn strided_packed_element_charges_like_padded_element() {
+        // A 24-byte element ([u32; 6]) of which the packed host copy keeps
+        // the first 12 bytes ([u32; 3]) at a stride of 24.
+        let run = |touch: &dyn Fn(&mut DomainAllocator, &mut ExecCtx<'_>) -> (u64, u64)| {
+            let mut m = test_machine();
+            let mut a = DomainAllocator::new(MemDomain(0));
+            let (addr, stride) = touch(&mut a, &mut m.ctx(CoreId(0)));
+            (addr, stride, a.used(), m.core(CoreId(0)).clock, m.core(CoreId(0)).counters.total())
+        };
+        // Element 2 straddles a line boundary (48..72), so it covers two.
+        let padded = run(&|a, ctx| {
+            let mut v = SimVec::new(a, 10, [7u32; 6]);
+            v.write(ctx, 2, [1; 6]);
+            v.update(ctx, 5, |e| e[0] += 1);
+            let _ = v.read(ctx, 2);
+            (v.addr_of(2), v.stride())
+        });
+        let packed = run(&|a, ctx| {
+            let mut v = SimVec::from_vec_strided(a, vec![[7u32; 3]; 10], 24);
+            v.write(ctx, 2, [1; 3]);
+            v.update(ctx, 5, |e| e[0] += 1);
+            let _ = v.read(ctx, 2);
+            (v.addr_of(2), v.stride())
+        });
+        assert_eq!(packed, padded);
+        let shared = run(&|a, ctx| {
+            let v = SharedSimVec::from_shared(a, Rc::new(vec![[7u32; 3]; 10]), 24);
+            let _ = v.read(ctx, 2);
+            (v.addr_of(2), v.footprint())
+        });
+        let padded_read = run(&|a, ctx| {
+            let v = SimVec::new(a, 10, [7u32; 6]);
+            let _ = v.read(ctx, 2);
+            (v.addr_of(2), v.footprint())
+        });
+        assert_eq!(shared, padded_read);
+    }
+
+    #[test]
+    #[should_panic(expected = "must cover")]
+    fn stride_below_element_size_panics() {
+        let mut a = DomainAllocator::new(MemDomain(0));
+        let _ = SimVec::from_vec_strided(&mut a, vec![[0u32; 3]; 4], 8);
     }
 
     #[test]
